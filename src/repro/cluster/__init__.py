@@ -10,16 +10,12 @@ prepare is WAL-durable per shard, the commit decision is forced to the
 coordinator's own log, and recovery follows presumed abort.
 
 See ``docs/cluster.md`` for the sharding model, the 2PC state machine,
-and the failure model; ``python -m repro.cluster`` runs the seeded
-cluster crash-torture harness (:mod:`repro.cluster.harness`).
+and the failure model.  ``python -m repro.cluster`` runs the seeded
+crash-torture harness (:mod:`repro.fault.harness`, shared with the
+single node) over clusters of 2-4 shards.
 """
 
 from repro.cluster.coordinator import CoordinatorLog, TwoPhaseCoordinator
-from repro.cluster.harness import (
-    ClusterScheduleReport,
-    run_cluster_schedule,
-    run_cluster_torture,
-)
 from repro.cluster.router import Router, TableRoute
 from repro.cluster.sharded import (
     DistributedTransaction,
@@ -31,7 +27,6 @@ from repro.cluster.sharded import (
 )
 
 __all__ = [
-    "ClusterScheduleReport",
     "CoordinatorLog",
     "DistributedTransaction",
     "Router",
@@ -42,6 +37,4 @@ __all__ = [
     "ShardedTable",
     "TableRoute",
     "TwoPhaseCoordinator",
-    "run_cluster_schedule",
-    "run_cluster_torture",
 ]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.cluster.harness import run_cluster_torture
+from repro.fault.harness import run_torture
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -31,12 +31,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("-v", "--verbose", action="store_true", help="print every report")
     args = parser.parse_args(argv)
 
-    reports = run_cluster_torture(
+    reports = run_torture(
         schedules=args.schedules,
         seed=args.seed,
         txns=args.txns,
         tpcc_every=args.tpcc_every,
+        transient_every=0,
         verbose=args.verbose,
+        n_shards=None,
     )
     failed = [r for r in reports if not r.ok]
     crashed = sum(1 for r in reports if r.crashed)

@@ -7,9 +7,11 @@ Three layers, all seeded and replayable:
   (:class:`SimulatedCrash`) on a :class:`FaultSchedule`.
 - :mod:`repro.fault.crashpoints` — named crash sites inside engine code
   (WAL flush, checkpoint write, transform gather, export serialize).
-- :mod:`repro.fault.harness` — the crash-torture harness: seeded
-  workload → injected death → recovery → durability-invariant check.
-  Run it from the command line: ``python -m repro.fault --schedules 20``.
+- :mod:`repro.fault.harness` — the crash-torture harness, for one node
+  or a sharded cluster: seeded workload → injected death → recovery →
+  invariant check.  Run it from the command line:
+  ``python -m repro.fault --schedules 20`` (single node) or
+  ``python -m repro.cluster --schedules 20`` (clusters).
 
 Import order matters here only for cycle-safety: ``device`` and
 ``crashpoints`` are dependency-light (engine modules import *them*); the

@@ -51,15 +51,17 @@ class RawBlock:
         self.dictionaries: dict[int, tuple[np.ndarray, list[bytes]]] = {}
         #: Zone maps computed during the gather alongside Arrow's metadata:
         #: ``col -> (min, max)`` over live non-null fixed-width values.
-        #: Only trustworthy while the block is FROZEN.
+        #: Only trustworthy while the block is FROZEN.  Each gather
+        #: publishes a new dict rather than rewriting this one, so a reheat
+        #: can iterate it while a concurrent gather computes the next.
         self.zone_maps: dict[int, tuple[float, float]] = {}
         #: Write-side zone maps for scans over non-frozen blocks:
         #: ``col -> [min, max]`` widened on every in-place write (under the
         #: write latch) and never narrowed, so they conservatively cover
         #: every value any snapshot could see — in place *or* on a version
         #: chain (before-images were themselves once written in place).
-        #: Seeded from the frozen maps on a FROZEN→HOT transition, cleared
-        #: when a gather recomputes the exact frozen maps.
+        #: Seeded from the frozen maps on a FROZEN→HOT transition, replaced
+        #: by an empty map when a gather recomputes the exact frozen maps.
         self.hot_zone_maps: dict[int, list[float]] = {}
         #: Columns eligible for zone maps (numeric fixed-width).
         self.zone_eligible = frozenset(
@@ -179,7 +181,11 @@ class RawBlock:
                     )
                     self._seed_hot_zone_maps()
                     self.wait_for_readers()
-                    return
+                    if self._state is BlockState.HOT:
+                        return
+                    # The transformer took the block back (cooled, maybe
+                    # froze it again) while the maps were folded: go round
+                    # rather than hand the writer a block that is not HOT.
             elif state is BlockState.COOLING:
                 if self.compare_and_swap_state(BlockState.COOLING, BlockState.HOT):
                     _record_event(

@@ -135,10 +135,7 @@ def compute_fixed_metadata(
     Shared by the plain gather and the dictionary-compression variant so a
     re-frozen block never carries stale zone maps.
     """
-    block.zone_maps.clear()
-    # The exact frozen maps supersede the widen-only hot maps; a later
-    # FROZEN→HOT transition re-seeds them (RawBlock._seed_hot_zone_maps).
-    block.hot_zone_maps.clear()
+    zone_maps: dict[int, tuple[float, float]] = {}
     for column_id in block.layout.fixed_column_ids():
         validity = block.validity_bitmaps[column_id]
         valid_mask = validity.to_numpy()[:n] if n else None
@@ -147,7 +144,13 @@ def compute_fixed_metadata(
         spec = block.layout.columns[column_id]
         if live_valid and spec.dtype.numpy_dtype.kind in "iuf":  # type: ignore[union-attr]
             values = block.column_view(column_id)[:n][valid_mask]
-            block.zone_maps[column_id] = (values.min().item(), values.max().item())
+            zone_maps[column_id] = (values.min().item(), values.max().item())
+    # Published by assignment, never rewritten in place: a writer reheating
+    # the block may still be iterating the previous maps
+    # (RawBlock._seed_hot_zone_maps).  The exact frozen maps supersede the
+    # widen-only hot maps; a later FROZEN→HOT transition re-seeds them.
+    block.zone_maps = zone_maps
+    block.hot_zone_maps = {}
 
 
 def _make_reclaim(block: "RawBlock", to_free: list[tuple[int, int]]):

@@ -1,16 +1,19 @@
 """Cluster crash-torture smoke: seeded schedules must hold atomicity.
 
-The full 200-schedule sweep runs in CI's ``cluster-torture`` job
-(``python -m repro.cluster``); this suite keeps a small always-on sample
-in the tier-1 run so a regression in the 2PC recovery path fails fast.
+CI's ``crash-torture`` job runs a larger sweep (``python -m
+repro.cluster``); this suite keeps a small always-on sample in the tier-1
+run so a regression in the 2PC recovery path fails fast.  ``n_shards=None``
+is the cluster CLI's setting: a seeded shard count per schedule.
 """
 
-from repro.cluster.harness import run_cluster_schedule, run_cluster_torture
+from repro.fault.harness import run_schedule, run_torture
 
 
 class TestKvSchedules:
     def test_a_dozen_seeded_schedules_hold_atomicity(self):
-        reports = run_cluster_torture(schedules=12, seed=0, txns=25)
+        reports = run_torture(
+            schedules=12, seed=0, txns=25, tpcc_every=5, transient_every=0, n_shards=None
+        )
         assert len(reports) == 12
         failures = [r for r in reports if not r.ok]
         assert failures == [], "\n".join(str(r) for r in failures)
@@ -19,19 +22,19 @@ class TestKvSchedules:
         assert sum(r.txns_cross_shard for r in reports) > 0
 
     def test_single_schedule_is_deterministic(self):
-        first = run_cluster_schedule(seed=3, txns=25)
-        second = run_cluster_schedule(seed=3, txns=25)
+        first = run_schedule(seed=3, txns=25, n_shards=None)
+        second = run_schedule(seed=3, txns=25, n_shards=None)
         assert first.ok and second.ok
         assert str(first) == str(second)
 
 
 class TestTpccSchedules:
     def test_tpcc_consistency_at_two_shards(self):
-        report = run_cluster_schedule(seed=2, mode="tpcc", txns=20, n_shards=2)
+        report = run_schedule(seed=2, mode="tpcc", txns=20, n_shards=2)
         assert report.ok, str(report)
         assert report.n_shards == 2
 
     def test_tpcc_consistency_at_four_shards(self):
-        report = run_cluster_schedule(seed=5, mode="tpcc", txns=20, n_shards=4)
+        report = run_schedule(seed=5, mode="tpcc", txns=20, n_shards=4)
         assert report.ok, str(report)
         assert report.n_shards == 4

@@ -5,6 +5,8 @@ schedule must uphold the durability invariant — see
 :mod:`repro.fault.harness` for its exact statement.
 """
 
+import pytest
+
 from repro.fault import run_schedule, run_torture
 from repro.fault.harness import ScheduleReport
 
@@ -38,6 +40,15 @@ class TestCrashTorture:
         assert report.ok, report.violations
         assert report.mode == "tpcc"
         assert report.txns_recovered >= report.txns_acked
+
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    def test_tpcc_mode_runs_on_a_node_and_a_cluster(self, n_shards):
+        # One entry point, one TPC-C mode: n_shards=1 is a plain Database,
+        # 2 a ShardedDatabase with one warehouse per shard.
+        report = run_schedule(7, mode="tpcc", txns=15, n_shards=n_shards)
+        assert report.ok, str(report)
+        assert (report.mode, report.n_shards) == ("tpcc", n_shards)
+        assert report.txns_committed > 0
 
     def test_report_renders_a_reproducible_line(self):
         report = ScheduleReport(

@@ -158,3 +158,86 @@ class TestPruning:
         total = sum(b.num_rows for b in scanner.batches())
         assert total == 1200
         assert scanner.blocks_pruned == 0
+
+
+class TestReheatDuringGather:
+    def test_reheat_never_iterates_maps_a_gather_rewrites(self):
+        # The interleaving behind a rare "dictionary changed size during
+        # iteration" under TPC-C: a writer reheats a frozen block and,
+        # while it folds the frozen zone maps into the hot ones, the
+        # transformer cools and freezes the block again (a table without
+        # varlen columns gathers without taking the write latch) and its
+        # gather rewrites the zone maps.  Events pin the writer inside the
+        # fold and the gather inside the rewrite.
+        import threading
+
+        from repro.transform.gather import gather_block
+
+        db = Database(logging_enabled=False, cold_threshold_epochs=1)
+        info = db.create_table(
+            "f", [ColumnSpec("id", INT64), ColumnSpec("v", INT64)],
+            block_size=1 << 13, watch_cold=True,
+        )
+        with db.transaction() as txn:
+            for i in range(1200):
+                info.table.insert(txn, {0: i, 1: -i})
+        db.freeze_table("f")
+        block = next(b for b in info.table.blocks if b.state is BlockState.FROZEN)
+        exact = dict(block.zone_maps)
+        assert len(exact) == 2
+
+        writer_folding = threading.Event()
+        gather_rewriting = threading.Event()
+        writer_folded = threading.Event()
+
+        class PausingMap(dict):
+            def get(self, key, default=None):
+                if not writer_folding.is_set():
+                    writer_folding.set()
+                    gather_rewriting.wait(5)
+                return super().get(key, default)
+
+        block.hot_zone_maps = PausingMap()
+        wait_for_readers = block.wait_for_readers
+
+        def folded_then_wait(timeout=None):
+            writer_folded.set()
+            return wait_for_readers(timeout)
+
+        block.wait_for_readers = folded_then_wait
+        failures = []
+
+        def reheat():
+            try:
+                block.touch_hot()
+            except Exception as exc:  # the race surfaces in the writer
+                failures.append(exc)
+                writer_folded.set()
+
+        writer = threading.Thread(target=reheat)
+        writer.start()
+        assert writer_folding.wait(5)
+        assert block.compare_and_swap_state(BlockState.HOT, BlockState.COOLING)
+        assert block.compare_and_swap_state(BlockState.COOLING, BlockState.FREEZING)
+        column_view = block.column_view
+
+        def rewriting_view(column_id):
+            gather_rewriting.set()
+            writer_folded.wait(5)
+            return column_view(column_id)
+
+        block.column_view = rewriting_view
+        try:
+            gather_block(block)
+        finally:
+            del block.column_view
+            gather_rewriting.set()
+        block.set_state(BlockState.FROZEN)
+        writer.join(5)
+        assert not writer.is_alive()
+        assert failures == []
+        assert block.zone_maps == exact
+        # The block left HOT under the writer, so the writer went round
+        # again: it reheated the re-frozen block and seeded the new maps.
+        assert block.state is BlockState.HOT
+        assert block.hot_zone_maps == {c: [low, high] for c, (low, high) in exact.items()}
