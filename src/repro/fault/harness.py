@@ -47,6 +47,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.errors import DegradedError, TwoPhaseInDoubt
 from repro.fault.crashpoints import CrashPointInjector, armed
 from repro.fault.device import FaultSchedule, FaultSpec, FaultyDevice, SimulatedCrash
 
@@ -128,6 +129,10 @@ class _Node:
     cross_rate = None
     #: The one-warehouse TPC-C database runs every profile at warehouse 1.
     home_warehouse = 1
+    #: Engine errors that end a run like a crash.  None on a node: even
+    #: transient device errors must never impair it, so a DegradedError
+    #: escapes :func:`run_schedule` and fails the sweep.
+    stop_on: tuple[type[Exception], ...] = ()
 
     def build(self, shard_keys: dict | None = None):
         """A fresh engine; one node owns every row, so ``shard_keys`` is moot."""
@@ -148,7 +153,8 @@ class _Node:
         db.checkpoint()
 
     def recover(self, fresh, images: list[bytes]) -> dict:
-        return {"transactions_replayed": fresh.recover_from(images[0], tolerate_torn_tail=True)}
+        replayed = fresh.recover_from(images[0], tolerate_torn_tail=True)
+        return {"transactions_replayed": replayed}
 
     def consistency_scopes(self, fresh) -> list:
         return [("TPC-C", fresh)]
@@ -190,10 +196,15 @@ class _Cluster:
     cross_rate = (0.3, 0.4)
     #: Every TPC-C profile draws its home warehouse, hence its shard.
     home_warehouse = None
+    #: A transaction left in doubt or a degraded shard impairs the cluster
+    #: but leaves it alive: stop the workload there and verify that
+    #: recovery resolves whatever was left prepared.
+    stop_on = (TwoPhaseInDoubt, DegradedError)
 
     def __init__(self, n_shards: int) -> None:
         self.n_shards = n_shards
-        self.device_names = tuple(f"shard:{i}" for i in range(n_shards)) + ("coordinator",)
+        shards = tuple(f"shard:{i}" for i in range(n_shards))
+        self.device_names = shards + ("coordinator",)
 
     def build(self, shard_keys: dict | None = None):
         from repro.cluster import ShardedDatabase
@@ -238,7 +249,8 @@ def _pick_plan(rng: random.Random, topology, mode: str, txns: int) -> dict:
         # Recoverable device errors only; the run must end clean and lossless.
         writes = sorted(rng.sample(range(1, max(txns, 8)), k=min(3, txns // 4 or 1)))
         plan["device_specs"] = [
-            FaultSpec("write", at, rng.choice(("io_error", "short_write"))) for at in writes
+            FaultSpec("write", at, rng.choice(("io_error", "short_write")))
+            for at in writes
         ] + [FaultSpec("fsync", rng.randrange(1, max(txns // 2, 2)), "io_error")]
         return plan
     site = topology.sites[rng.randrange(len(topology.sites))]
@@ -259,15 +271,17 @@ def _pick_plan(rng: random.Random, topology, mode: str, txns: int) -> dict:
     return plan
 
 
-def _swap_in_faulty_devices(topology, engine, plan: dict, seed: int) -> list[FaultyDevice]:
+def _swap_devices(topology, engine, plan: dict, seed: int) -> list[FaultyDevice]:
     """Wrap every log device of ``engine`` in a :class:`FaultyDevice` with
     the plan's faults (on its target, or on the node's only device).  The
     wrapped devices are fully synced (empty, or holding a clean load written
     synchronously), so the schedule's op indices count from here."""
     devices = []
-    for salt, (name, owner) in enumerate(zip(topology.device_names, topology.logs(engine))):
+    owners = zip(topology.device_names, topology.logs(engine))
+    for salt, (name, owner) in enumerate(owners):
         specs = plan["device_specs"] if plan["fault_target"] in (None, name) else []
-        device = FaultyDevice(base=owner.device, schedule=FaultSchedule(specs, seed=seed + salt))
+        schedule = FaultSchedule(specs, seed=seed + salt)
+        device = FaultyDevice(base=owner.device, schedule=schedule)
         device.synced_len = device.base.tell()
         owner.device = device
         devices.append(device)
@@ -296,8 +310,6 @@ def _group_commit(topology, engine, transient: bool, final: bool = False) -> Non
 
 def _live(topology, workload, plan: dict, txns: int, transient: bool) -> bool:
     """Run the workload until it finishes or dies; True when it died."""
-    from repro.errors import DegradedError, TwoPhaseInDoubt
-
     site = plan["crash_site"]
     if site is None or site in topology.device_faults:
         site = "<never>"  # no crash point: the device (or nothing) faults
@@ -315,11 +327,11 @@ def _live(topology, workload, plan: dict, txns: int, transient: bool) -> bool:
                     # the log is never truncated, recovery replays it whole.
                     topology.checkpoint(workload.engine)
             _group_commit(topology, workload.engine, transient, final=True)
-        except (SimulatedCrash, OSError, TwoPhaseInDoubt, DegradedError):
+        except (SimulatedCrash, OSError, *topology.stop_on):
             # Besides a crash, an OSError outside a tolerated flush (possible
-            # when the final drain hits a scheduled fault) or an impaired
-            # engine ends the run: the durability-acked state must still
-            # recover, and whatever was left prepared must resolve.
+            # when the final drain hits a scheduled fault) or one of the
+            # topology's stop errors ends the run: the durability-acked
+            # state must still recover.
             return True
     return False
 
@@ -399,7 +411,9 @@ class _NodeKv:
         txn = self.engine.begin()
         ops: list[_Op] = []
         payload = f"v{txn_index}-" + "x" * rng.randrange(0, 40)
-        self.slots[self.next_id] = table.insert(txn, {0: self.next_id, 1: payload, 2: txn_index})
+        self.slots[self.next_id] = table.insert(
+            txn, {0: self.next_id, 1: payload, 2: txn_index}
+        )
         ops.append(("insert", self.next_id, payload, txn_index))
         self.next_id += 1
         live_ids = list(self.slots)
@@ -430,7 +444,9 @@ class _NodeKv:
         violations = report.violations
         recovered_ts: list[int] = []
         try:
-            recovered_ts = [t.commit_ts for t in decode_stream(images[0], tolerate_torn_tail=True)]
+            recovered_ts = [
+                t.commit_ts for t in decode_stream(images[0], tolerate_torn_tail=True)
+            ]
         except Exception as exc:
             violations.append(f"recovery decode raised {exc!r}")
 
@@ -445,7 +461,9 @@ class _NodeKv:
             # Durability: every acked transaction survives.
             missing = self.acked - set(recovered_ts)
             if missing:
-                violations.append(f"acked transactions lost by recovery: {sorted(missing)}")
+                violations.append(
+                    f"acked transactions lost by recovery: {sorted(missing)}"
+                )
             if not report.crashed and len(recovered_ts) != len(committed_ts):
                 violations.append(
                     f"clean shutdown lost transactions: {len(recovered_ts)} of "
@@ -508,12 +526,15 @@ class _ClusterKv:
         previously committed rows on those same shards.  Sentinels double as
         the presence oracle after recovery, so they are never deleted.
         """
-        from repro import errors
+        from repro.errors import CoordinationAbort, TransactionAborted
         from repro.txn.context import TxnState
 
         rng = self.rng
         n = self.engine.n_shards
-        k = rng.randrange(2, min(3, n) + 1) if rng.random() < self.plan["cross_rate"] else 1
+        if rng.random() < self.plan["cross_rate"]:
+            k = rng.randrange(2, min(3, n) + 1)
+        else:
+            k = 1
         shards = tuple(sorted(rng.sample(range(n), k)))
         rec = _ClusterTxn(index=index, shards=shards)
         # Registered before any engine call: a SimulatedCrash mid-commit must
@@ -529,14 +550,19 @@ class _ClusterKv:
                 row_id = self.next_row * n + s
                 self.next_row += 1
                 payload = f"v{index}-" + "x" * rng.randrange(0, 30)
-                rec.slot_map[row_id] = table.insert(dtxn, {0: row_id, 1: payload, 2: index})
+                rec.slot_map[row_id] = table.insert(
+                    dtxn, {0: row_id, 1: payload, 2: index}
+                )
                 rec.sentinels[s] = row_id
                 rec.ops.setdefault(s, []).append(("insert", row_id, payload, index))
             victims = [rid for rid in self.slots if rid % n in shards]
             if victims and rng.random() < 0.45:
                 victim = victims[rng.randrange(len(victims))]
                 update_payload = f"u{index}-" + "y" * rng.randrange(0, 15)
-                if table.update(dtxn, self.slots[victim], {1: update_payload, 2: index}):
+                updated = table.update(
+                    dtxn, self.slots[victim], {1: update_payload, 2: index}
+                )
+                if updated:
                     rec.ops.setdefault(victim % n, []).append(
                         ("update", victim, update_payload, index)
                     )
@@ -549,9 +575,9 @@ class _ClusterKv:
             self.engine.commit(dtxn)
             rec.outcome = "committed"
             self.slots.update(rec.slot_map)
-        except errors.TwoPhaseInDoubt:
+        except TwoPhaseInDoubt:
             rec.outcome = "in_doubt"
-        except (errors.CoordinationAbort, errors.DegradedError, errors.TransactionAborted):
+        except (CoordinationAbort, DegradedError, TransactionAborted):
             rec.outcome = "aborted"
         # An in-doubt transaction poisons the coordinator log; stop writing.
         return rec.outcome != "in_doubt"
@@ -562,7 +588,9 @@ class _ClusterKv:
         if _replay(topology, fresh, images, report):
             actual = [_kv_rows(shard) for shard in fresh.shards]
             for rec in self.records:
-                rec.present = {s: sentinel in actual[s] for s, sentinel in rec.sentinels.items()}
+                rec.present = {
+                    s: sentinel in actual[s] for s, sentinel in rec.sentinels.items()
+                }
                 # THE cluster invariant: all-or-nothing across shards, for
                 # every transaction regardless of how its lifetime ended.
                 if len(set(rec.present.values())) > 1:
@@ -572,7 +600,9 @@ class _ClusterKv:
                     )
                 recovered = all(rec.present.values())
                 if rec.outcome == "aborted" and recovered:
-                    violations.append(f"aborted txn {rec.index} resurrected by recovery")
+                    violations.append(
+                        f"aborted txn {rec.index} resurrected by recovery"
+                    )
                 if rec.acked and not recovered:
                     violations.append(f"acked txn {rec.index} lost by recovery")
                 if rec.outcome == "committed" and not report.crashed and not recovered:
@@ -582,18 +612,26 @@ class _ClusterKv:
             for s in range(topology.n_shards):
                 # Per-shard prefix: once a committed transaction is missing
                 # on a shard, no later committed transaction may be present.
-                on_shard = [r for r in self.records if s in r.shards and r.outcome == "committed"]
-                lost = [r.index for r in on_shard if not r.present[s]]
-                late = [r.index for r in on_shard if r.present[s] and lost and r.index > lost[0]]
-                if late:
-                    violations.append(
-                        f"shard {s}: txn {late[0]} recovered after "
-                        f"txn {lost[0]} was lost (not a prefix)"
-                    )
+                lost_from: int | None = None
+                for rec in self.records:
+                    if s not in rec.shards or rec.outcome != "committed":
+                        continue
+                    if not rec.present[s]:
+                        if lost_from is None:
+                            lost_from = rec.index
+                    elif lost_from is not None:
+                        violations.append(
+                            f"shard {s}: txn {rec.index} recovered after "
+                            f"txn {lost_from} was lost (not a prefix)"
+                        )
+                        break
                 # Exact state: the shard's rows are the effects of exactly
                 # the recovered transactions, applied in commit order.
                 expected = _apply(
-                    op for rec in self.records if rec.present.get(s) for op in rec.ops.get(s, ())
+                    op
+                    for rec in self.records
+                    if rec.present.get(s)
+                    for op in rec.ops.get(s, ())
                 )
                 if expected != actual[s]:
                     violations.append(
@@ -661,7 +699,8 @@ class _Tpcc:
             replayed = report.txns_recovered
             if replayed < self.base_recovered:
                 violations.append(
-                    f"recovery lost the durable load: {replayed} < {self.base_recovered}"
+                    f"recovery lost the durable load: "
+                    f"{replayed} < {self.base_recovered}"
                 )
             mix_recovered = replayed - self.base_recovered
             if mix_recovered < self.executor.acked_writes:
@@ -690,7 +729,10 @@ def run_schedule(
     """
     rng = random.Random(seed)
     if n_shards is None:
-        n_shards = (2 if seed % 2 == 0 else 4) if mode == "tpcc" else rng.choice((2, 3, 4))
+        if mode == "tpcc":
+            n_shards = 2 if seed % 2 == 0 else 4
+        else:
+            n_shards = rng.choice((2, 3, 4))
     if mode == "transient" and n_shards != 1:
         raise ValueError("transient mode runs on a single node (n_shards=1)")
     topology = _Node() if n_shards == 1 else _Cluster(n_shards)
@@ -701,7 +743,7 @@ def run_schedule(
         workload = _NodeKv(topology, rng, plan)
     else:
         workload = _ClusterKv(topology, rng, plan)
-    devices = _swap_in_faulty_devices(topology, workload.engine, plan, seed)
+    devices = _swap_devices(topology, workload.engine, plan, seed)
     crashed = _live(topology, workload, plan, txns, transient=mode == "transient")
     images = [d.crash_image(rng) if crashed else d.durable_image() for d in devices]
 

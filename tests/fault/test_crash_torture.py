@@ -7,7 +7,8 @@ schedule must uphold the durability invariant — see
 
 import pytest
 
-from repro.fault import run_schedule, run_torture
+from repro.errors import DegradedError
+from repro.fault import harness, run_schedule, run_torture
 from repro.fault.harness import ScheduleReport
 
 
@@ -34,6 +35,23 @@ class TestCrashTorture:
         assert report.ok, report.violations
         assert report.faults_injected > 0
         assert report.txns_recovered == report.txns_committed
+
+    def test_transient_faults_that_degrade_the_node_fail_the_schedule(
+        self, monkeypatch
+    ):
+        # Transient device errors must never impair a node.  Make the first
+        # failed flush degrade it: the run may not pass for a crash (a torn
+        # crash image would hide what the clean shutdown lost).
+        build = harness._Node.build
+
+        def fragile(self, shard_keys=None):
+            db = build(self, shard_keys)
+            db.log_manager.degrade_after = 1
+            return db
+
+        monkeypatch.setattr(harness._Node, "build", fragile)
+        with pytest.raises(DegradedError):
+            run_schedule(104, mode="transient", txns=30)
 
     def test_tpcc_schedule_recovers_consistent(self):
         report = run_schedule(9, mode="tpcc", txns=15)
